@@ -32,11 +32,11 @@
 //!   (moved here from `impossible-ckpt` so snapshots and spill share one
 //!   format), plus [`page`] — delta+varint-compressed key/run/frontier
 //!   pages;
-//! * [`extmem`] — external-memory BFS: a [`SpillPolicy`] writes cold
-//!   visited shards (and optionally frontier partitions) to deterministic
-//!   per-shard run files and streams them back per level, keeping reports
-//!   byte-identical to the resident engine while peak memory stays
-//!   bounded;
+//! * [`extmem`] — external-memory BFS: a [`SpillPolicy`] attaches an
+//!   on-disk half to the same BFS level loop, writing cold visited shards
+//!   (and optionally frontier partitions) to deterministic per-shard run
+//!   files and streaming them back per level, keeping reports and traces
+//!   byte-identical to the resident run while peak memory stays bounded;
 //! * [`property`] — the temporal-property layer over that graph:
 //!   [`always`](property::always) / [`never`](property::never) safety
 //!   checks as reachability, [`eventually`](property::eventually) /

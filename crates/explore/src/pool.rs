@@ -76,26 +76,12 @@ impl WorkerPool {
         )
     }
 
-    /// Apply `f` to every item of every partition, returning outputs grouped
-    /// by partition, in partition order and in-partition input order.
-    ///
-    /// The output is a pure function of `(parts, f)` — the worker count only
-    /// affects wall-clock time.
-    pub fn map_partitions<I, O, F>(&self, parts: &[Vec<I>], f: F) -> Vec<Vec<O>>
-    where
-        I: Sync,
-        O: Send,
-        F: Fn(&I) -> O + Sync,
-    {
-        self.map_each_partition(parts, |p| p.iter().map(&f).collect())
-    }
-
     /// Apply `f` to each whole partition (one call per partition, so hot
     /// callers can accumulate into a single buffer instead of allocating per
     /// item), returning outputs in partition order.
     ///
-    /// Same determinism contract as [`WorkerPool::map_partitions`]: the
-    /// output is a pure function of `(parts, f)`.
+    /// The output is a pure function of `(parts, f)` — the worker count
+    /// only affects wall-clock time.
     pub fn map_each_partition<I, O, F>(&self, parts: &[Vec<I>], f: F) -> Vec<O>
     where
         I: Sync,
@@ -186,7 +172,7 @@ mod tests {
     use super::*;
 
     fn square_parts(parts: &[Vec<u64>], workers: usize) -> Vec<Vec<u64>> {
-        WorkerPool::new(workers).map_partitions(parts, |x| x * x)
+        WorkerPool::new(workers).map_each_partition(parts, |p| p.iter().map(|x| x * x).collect())
     }
 
     #[test]

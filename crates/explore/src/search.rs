@@ -49,10 +49,11 @@
 //! remembering them — the classic memory/time trade. Depth limits iterate
 //! `0..=max_depth`, so the first hit is still a shortest witness.
 
+use crate::extmem::{DiskState, ShardRuns};
 use crate::fingerprint::{BatchScratch, Encode, Fingerprint};
 use crate::pool::WorkerPool;
 use crate::stats::SearchStats;
-use crate::table::{shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
+use crate::table::{key_of, shard_index, Cap, FpMap, ShardedFpMap, TryInsert};
 use impossible_core::exec::Execution;
 use impossible_core::explore::Truncation;
 use impossible_core::system::System;
@@ -348,10 +349,6 @@ impl<'a, Sys: System> Search<'a, Sys> {
         self.partitions
     }
 
-    pub(crate) fn workers_value(&self) -> usize {
-        self.workers
-    }
-
     pub(crate) fn audit_enabled(&self) -> bool {
         self.audit
     }
@@ -380,53 +377,72 @@ impl<'a, Sys: System> Search<'a, Sys> {
     }
 }
 
+/// One expanded child: `(child fp, canonical child, action, parent fp)`.
+type Child<S, A> = (u64, S, A, u64);
+
 /// Per-partition expansion record produced by pass-1 workers. Children come
 /// back already bucketed by destination shard (`fp % partitions`), so pass 2
 /// can hand bucket `k` of every partition straight to the worker that owns
-/// visited-set shard `k` — the main thread never touches a child. The
-/// external-memory engine ([`crate::extmem`]) reuses the same pass-1 records
-/// for its probe/stage/commit pipeline.
-pub(crate) struct Expanded<S, A> {
+/// visited-set shard `k` — the main thread never touches a child.
+struct Expanded<S, A> {
     /// Terminal states of this partition, in frontier order.
-    pub(crate) terminals: Vec<S>,
+    terminals: Vec<S>,
     /// Frontier items expanded (`enabled` calls).
-    pub(crate) expansions: usize,
+    expansions: usize,
     /// Successors changed by the canonicalization hook.
-    pub(crate) canon_hits: usize,
+    canon_hits: usize,
     /// Total children produced (this partition's transition delta).
-    pub(crate) children: usize,
-    /// `(child fp, canonical child, action, parent fp)` bucketed by
-    /// destination shard; in-bucket order is traversal order (frontier
-    /// order, in-state action order).
-    pub(crate) by_shard: Vec<Vec<(u64, S, A, u64)>>,
+    children: usize,
+    /// Children bucketed by destination shard; in-bucket order is traversal
+    /// order (frontier order, in-state action order).
+    by_shard: Vec<Vec<Child<S, A>>>,
     /// Destination shard of each child in traversal order — lets the
     /// sequential cap fallback replay the exact global insert order from
     /// the bucketed layout.
-    pub(crate) route: Vec<u32>,
+    route: Vec<u32>,
 }
 
 /// In-flight BFS state: everything the level loop carries between levels.
-/// One struct so the fused path (`run_bfs`), the resumable path
-/// (`run_resumable`), the resumed path (`resume`) and the external-memory
-/// loop (`crate::extmem`) share the *same* setup — any budget/truncation
-/// fix lands on all of them at once.
-pub(crate) struct BfsRun<Sys: System> {
-    pub(crate) stats: SearchStats,
-    pub(crate) visited: ShardedFpMap<Parent<Sys::Action>>,
-    pub(crate) audit_states: BTreeMap<u64, Sys::State>,
-    pub(crate) terminal: Vec<Sys::State>,
-    pub(crate) transitions: usize,
-    pub(crate) truncated_by: Option<Truncation>,
-    pub(crate) found: Option<u64>,
+/// One struct so every BFS entry point — `explore`/`search`, the
+/// resumable and resumed paths, and the external-memory
+/// `explore_extmem`/`search_extmem` — runs the *same* `bfs_levels` loop:
+/// any budget/truncation fix lands on all of them at once. A spilled run
+/// is simply one whose `disk` is `Some`.
+struct BfsRun<Sys: System> {
+    stats: SearchStats,
+    /// The resident visited set (all of it unless `disk` has spilled).
+    visited: ShardedFpMap<Parent<Sys::Action>>,
+    audit_states: BTreeMap<u64, Sys::State>,
+    terminal: Vec<Sys::State>,
+    transitions: usize,
+    truncated_by: Option<Truncation>,
+    found: Option<u64>,
     /// Frontier, pre-partitioned: `parts[k]` holds the states whose
-    /// fingerprints shard to `k`.
-    pub(crate) parts: Vec<Vec<(u64, Sys::State)>>,
+    /// fingerprints shard to `k`. Empty while `disk` pages the frontier.
+    parts: Vec<Vec<(u64, Sys::State)>>,
     /// Completed levels (the next level to expand).
-    pub(crate) depth: usize,
+    depth: usize,
     /// Batched fingerprint pipeline shared by the sequential control path
     /// and the fused level loop (rebuilt fresh on restore — it is a
     /// buffer, never state).
-    pub(crate) batch: BatchScratch,
+    batch: BatchScratch,
+    /// The on-disk half of an external-memory run: run files holding
+    /// spilled visited keys, and the paged frontier. `None` for a resident
+    /// run.
+    disk: Option<DiskState<Sys::State, Sys::Action>>,
+}
+
+impl<Sys: System> BfsRun<Sys> {
+    /// Distinct states visited: resident keys plus spilled ones (the two
+    /// sets are key-disjoint, see [`crate::extmem`]).
+    fn num_states(&self) -> usize {
+        self.visited.len() + self.disk.as_ref().map_or(0, |d| d.spilled)
+    }
+
+    /// The disk state, while the current frontier is paged out to it.
+    fn paged(&self) -> Option<&DiskState<Sys::State, Sys::Action>> {
+        self.disk.as_ref().filter(|d| d.frontier_paged)
+    }
 }
 
 impl<'a, Sys: System> Search<'a, Sys>
@@ -448,7 +464,7 @@ where
         &self,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
-        self.run_bfs(None::<fn(&Sys::State) -> bool>, tracer)
+        self.run_bfs(None::<fn(&Sys::State) -> bool>, None, tracer)
     }
 
     /// BFS until `pred` matches; `witness` is a shortest execution from an
@@ -470,7 +486,7 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
-        self.run_bfs(Some(pred), tracer)
+        self.run_bfs(Some(pred), None, tracer)
     }
 
     /// Run the full reachable exploration, pausing at `budget` if it trips
@@ -565,13 +581,16 @@ where
         }
     }
 
-    /// The BFS engine. Trace emissions happen only on the sequential
-    /// control path (init loop, level boundaries, and the ordered merge) —
-    /// never inside worker closures — and no event carries the worker
-    /// count, which is what makes traces worker-count invariant.
-    fn run_bfs<F>(
+    /// The BFS engine, resident (`disk == None`) or spilled. Trace
+    /// emissions happen only on the sequential control path (init loop,
+    /// level boundaries, and the ordered merge) — never inside worker
+    /// closures — and no event carries the worker count or the spill
+    /// policy, which is what makes traces worker-count invariant and a
+    /// spilled trace identical to the resident one.
+    pub(crate) fn run_bfs<F>(
         &self,
         pred: Option<F>,
+        disk: Option<DiskState<Sys::State, Sys::Action>>,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action>
     where
@@ -579,13 +598,14 @@ where
     {
         let pool = WorkerPool::new(self.workers);
         let mut run = self.bfs_init(&pool, pred.as_ref(), tracer);
+        run.disk = disk;
         let paused = self.bfs_levels(&pool, &mut run, pred.as_ref(), &PauseBudget::never(), tracer);
         debug_assert!(!paused, "PauseBudget::never cannot pause");
         self.bfs_finish(run, tracer)
     }
 
     /// BFS init: seed the visited set and the partitioned root frontier.
-    pub(crate) fn bfs_init<F>(
+    fn bfs_init<F>(
         &self,
         pool: &WorkerPool,
         pred: Option<&F>,
@@ -680,15 +700,23 @@ where
             parts,
             depth: 0,
             batch,
+            disk: None,
         }
     }
 
-    /// The level loop, shared verbatim by the fused, resumable and resumed
-    /// paths. Returns `true` when the pause budget tripped at a level
-    /// boundary (never mid-level) with the run still having work to do —
-    /// the caller suspends; `false` means the run finished (witness found,
-    /// frontier exhausted, or depth cutoff), which `PauseBudget::never`
-    /// guarantees.
+    /// The level loop — the only one — shared verbatim by the resident,
+    /// resumable, resumed and spilled paths. Returns `true` when the pause
+    /// budget tripped at a level boundary (never mid-level) with the run
+    /// still having work to do — the caller suspends; `false` means the run
+    /// finished (witness found, frontier exhausted, or depth cutoff), which
+    /// `PauseBudget::never` guarantees.
+    ///
+    /// A spilled run (`run.disk` is `Some`) branches in exactly these
+    /// places: the frontier length and its `peak_bytes` term while the
+    /// frontier is paged, the cutoff scan and pass 1 (which read paged
+    /// partitions back), everything that counts states (spilled keys
+    /// included), the level-end hooks (a pre-flush `peak_bytes` sample,
+    /// then [`DiskState::end_level`]), and the witness lookup.
     fn bfs_levels<F>(
         &self,
         pool: &WorkerPool,
@@ -700,18 +728,22 @@ where
     where
         F: Fn(&Sys::State) -> bool,
     {
+        let item_bytes = Self::frontier_item_bytes();
         loop {
-            let frontier_len: usize = run.parts.iter().map(Vec::len).sum();
+            let frontier_len: usize = match run.paged() {
+                Some(disk) => disk.part_lens.iter().sum(),
+                None => run.parts.iter().map(Vec::len).sum(),
+            };
             if run.found.is_some() || frontier_len == 0 {
                 return false;
             }
             // Pause check first: a resumed run re-enters here with the
             // pre-pause frontier, so every per-level update below (peak
             // sampling included) still happens exactly once per level.
-            if run.visited.len() >= pause.states || run.depth >= pause.levels {
+            if run.num_states() >= pause.states || run.depth >= pause.levels {
                 trace_event!(tracer, "search", "pause",
                     "level": run.depth,
-                    "states": run.visited.len(),
+                    "states": run.num_states(),
                     "frontier": frontier_len,
                 );
                 return true;
@@ -719,21 +751,36 @@ where
             run.stats.peak_frontier = run.stats.peak_frontier.max(frontier_len);
             // Byte accounting, sampled at the same boundary: visited-table
             // slot arrays plus the current frontier at its shallow record
-            // width. Worker-count-invariant (both are pure functions of the
-            // entry sets); the extmem loop samples the same formula, so a
-            // spilled run's lower number is comparable evidence.
-            run.stats.peak_bytes = run.stats.peak_bytes.max(
-                run.visited.approx_bytes() + frontier_len * Self::frontier_item_bytes(),
-            );
+            // width — only what is actually resident, so a paged frontier
+            // counts its largest single partition (the per-worker-slot
+            // bound, deliberately worker-count-independent). Both terms are
+            // pure functions of the entry sets, hence worker-count-invariant.
+            let resident_frontier = match run.paged() {
+                Some(disk) => disk.part_lens.iter().copied().max().unwrap_or(0),
+                None => frontier_len,
+            };
+            run.stats.peak_bytes = run
+                .stats
+                .peak_bytes
+                .max(run.visited.approx_bytes() + resident_frontier * item_bytes);
             if run.depth >= self.max_depth {
-                // Cutoff level: record terminals, flag unexpanded work.
+                // Cutoff level: record terminals, flag unexpanded work —
+                // streaming partitions back one at a time if paged.
                 // (Shard-major traversal — the only loop left that sees a
                 // whole frontier.)
                 trace_event!(tracer, "search", "cutoff",
                     "level": run.depth,
                     "frontier": frontier_len,
                 );
-                for part in &run.parts {
+                for k in 0..self.partitions {
+                    let loaded;
+                    let part = match run.paged() {
+                        Some(disk) => {
+                            loaded = disk.load_partition(k);
+                            &loaded
+                        }
+                        None => &run.parts[k],
+                    };
                     for (_, s) in part {
                         run.stats.expansions += 1;
                         if self.sys.enabled(s).is_empty() {
@@ -757,7 +804,7 @@ where
             );
 
             run.stats.levels += 1;
-            let visited_before = run.visited.len();
+            let visited_before = run.num_states();
             let mut next_parts: Vec<Vec<(u64, Sys::State)>> =
                 (0..self.partitions).map(|_| Vec::new()).collect();
 
@@ -765,8 +812,10 @@ where
             // the expand loops are the hottest code in the crate, and giving
             // them their own functions keeps the optimizer's inlining budget
             // focused on `fingerprint_with`/`try_insert_with` instead of
-            // exhausting it on the orchestration around them.
-            let (level_children, trans_delta) = if pool.workers() == 1 {
+            // exhausting it on the orchestration around them. The fused
+            // body is the resident single-worker route; everything else
+            // (more workers, or spilled state) takes the two-pass route.
+            let (level_children, trans_delta) = if pool.workers() == 1 && run.disk.is_none() {
                 self.expand_level_fused(
                     run.depth,
                     &run.parts,
@@ -780,18 +829,7 @@ where
                     tracer,
                 )
             } else {
-                self.expand_level_parallel(
-                    run.depth,
-                    pool,
-                    &run.parts,
-                    &mut run.visited,
-                    &mut run.audit_states,
-                    &mut next_parts,
-                    &mut run.terminal,
-                    &mut run.stats,
-                    &mut run.truncated_by,
-                    tracer,
-                )
+                self.expand_level_parallel(pool, run, &mut next_parts, tracer)
             };
             run.transitions += trans_delta;
             // Fold the pool's steal counters into the stats at the level
@@ -830,11 +868,21 @@ where
             }
 
             let next_len: usize = next_parts.iter().map(Vec::len).sum();
+            if let Some(disk) = run.disk.as_mut() {
+                // The next frontier is fully resident here (pass 2
+                // materializes it): account for it before any of it, or of
+                // the visited set, pages out.
+                run.stats.peak_bytes = run
+                    .stats
+                    .peak_bytes
+                    .max(run.visited.approx_bytes() + next_len * item_bytes);
+                disk.end_level(&mut run.visited, &mut next_parts, run.found.is_some());
+            }
             run.parts = next_parts;
             trace_event!(tracer, "search", "level.exit",
                 "level": run.depth,
                 "next": next_len,
-                "states": run.visited.len(),
+                "states": run.num_states(),
                 "transitions": run.transitions,
                 "dedup": run.stats.dedup_hits,
                 "canon": run.stats.canon_hits,
@@ -850,8 +898,9 @@ where
         run: BfsRun<Sys>,
         tracer: &mut dyn Tracer,
     ) -> SearchReport<Sys::State, Sys::Action> {
+        let num_states = run.num_states();
         trace_event!(tracer, "search", "end",
-            "states": run.visited.len(),
+            "states": num_states,
             "transitions": run.transitions,
             "levels": run.stats.levels,
             "expansions": run.stats.expansions,
@@ -860,12 +909,19 @@ where
             "witness": run.found.is_some(),
         );
 
-        let witness = run
-            .found
-            .map(|target| self.replay_witness(&run.visited, target));
+        // Parent links of spilled states live in the run pages; the cold
+        // lookup walks them from disk.
+        let witness = run.found.map(|target| {
+            self.replay_witness(target, |fp| {
+                run.visited
+                    .get(fp)
+                    .cloned()
+                    .or_else(|| run.disk.as_ref().and_then(|d| d.lookup_spilled_parent(fp)))
+            })
+        });
 
         SearchReport {
-            num_states: run.visited.len(),
+            num_states,
             num_transitions: run.transitions,
             terminal_states: run.terminal,
             truncated_by: run.truncated_by,
@@ -879,6 +935,7 @@ where
     /// frontier partitions keep their in-partition traversal order.
     fn suspend(&self, run: BfsRun<Sys>) -> SearchCheckpoint<Sys::State, Sys::Action> {
         debug_assert!(run.found.is_none(), "paused runs carry no witness");
+        debug_assert!(run.disk.is_none(), "spilled runs are not resumable");
         let visited = run
             .visited
             .shards()
@@ -981,6 +1038,7 @@ where
             parts: ckpt.frontier,
             depth: ckpt.depth,
             batch: BatchScratch::new(self.seed),
+            disk: None,
         }
     }
 
@@ -1143,29 +1201,11 @@ where
         (level_children, transitions)
     }
 
-    /// Pass 1 of a parallel level: expand every frontier partition on the
-    /// pool (successors, canon, fingerprints, bucketed by destination
-    /// shard), touching no shared state. Records come back in partition
-    /// order regardless of worker count. Shared by
-    /// [`Search::expand_level_parallel`] and the external-memory engine —
-    /// both downstream consumers are extensionally equal to the fused
-    /// reference traversal because the records preserve traversal order
-    /// (`route` recovers the exact j-major sequence).
-    pub(crate) fn expand_pass1(
-        &self,
-        pool: &WorkerPool,
-        parts: &[Vec<(u64, Sys::State)>],
-    ) -> Vec<Expanded<Sys::State, Sys::Action>> {
-        pool.map_each_partition(parts, |part: &[(u64, Sys::State)]| {
-            self.expand_one_partition(part)
-        })
-    }
-
     /// Expand one frontier partition (the pass-1 worker body): successors,
     /// canon, fingerprints, children bucketed by destination shard. Pure —
     /// touches no shared state — so the spilled-frontier path can decode a
     /// partition page inside a worker and feed it straight through here.
-    pub(crate) fn expand_one_partition(
+    fn expand_one_partition(
         &self,
         part: &[(u64, Sys::State)],
     ) -> Expanded<Sys::State, Sys::Action> {
@@ -1224,146 +1264,183 @@ where
         rec
     }
 
-    /// One BFS level on `pool` workers: pass 1 expands partitions in
-    /// parallel (children come back bucketed by destination shard), the
-    /// counters/terminals are stitched sequentially in partition order, and
-    /// pass 2 runs dedup + insert worker-locally per shard — or replays the
-    /// exact j-major order sequentially on the rare levels where the state
-    /// cap could bind (or under the collision audit). Returns the level's
+    /// One BFS level through the pool: pass 1 expands partitions in
+    /// parallel (children come back bucketed by destination shard; a paged
+    /// frontier partition is decoded inside the worker that expands it),
+    /// the counters/terminals are stitched sequentially in partition order,
+    /// and pass 2 is [`Search::insert_two_pass`] — or
+    /// [`Search::insert_cap_replay`] on the rare levels where the state cap
+    /// could bind (or under the collision audit). Returns the level's
     /// `(children, transitions)` deltas; byte-identical in effect to
-    /// [`Search::expand_level_fused`] for every worker count.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Search::expand_level_fused`] for every worker count, resident or
+    /// spilled.
+    ///
+    /// Each level runs exactly two pool passes (one on cap levels):
+    /// `restore` re-derives the steal counters from that shape.
     #[inline(never)]
     fn expand_level_parallel(
         &self,
-        depth: usize,
         pool: &WorkerPool,
-        parts: &[Vec<(u64, Sys::State)>],
-        visited: &mut ShardedFpMap<Parent<Sys::Action>>,
-        audit_states: &mut BTreeMap<u64, Sys::State>,
+        run: &mut BfsRun<Sys>,
         next_parts: &mut [Vec<(u64, Sys::State)>],
-        terminal: &mut Vec<Sys::State>,
-        stats: &mut SearchStats,
-        truncated_by: &mut Option<Truncation>,
         tracer: &mut dyn Tracer,
     ) -> (usize, usize) {
-        let visited_before = visited.len();
-        let mut level_children = 0usize;
-        let mut transitions = 0usize;
-        let shard_n = self.partitions;
-        let mut recs = self.expand_pass1(pool, parts);
+        let visited_before = run.num_states();
+        let mut recs = match run.paged() {
+            Some(disk) => pool.map_indexed((0..self.partitions).collect(), |_, k| {
+                self.expand_one_partition(&disk.load_partition(k))
+            }),
+            None => pool.map_each_partition(&run.parts, |part| self.expand_one_partition(part)),
+        };
 
         // Stitch the per-partition counters and terminals, in
         // partition order.
+        let mut level_children = 0usize;
         for rec in &mut recs {
-            stats.expansions += rec.expansions;
-            stats.canon_hits += rec.canon_hits;
+            run.stats.expansions += rec.expansions;
+            run.stats.canon_hits += rec.canon_hits;
             level_children += rec.children;
-            terminal.append(&mut rec.terminals);
+            run.terminal.append(&mut rec.terminals);
         }
 
-        // Pass 2 — dedup + insert. When the state cap cannot bind
-        // this level (children are an upper bound on inserts) and no
-        // audit wants full states in sequence, each visited shard is
-        // handed to the worker that owns it: worker-local,
-        // lock-free, schedule-independent (shard `k`'s children
-        // arrive grouped j-major, exactly the order the fused path
-        // would have offered them — see docs/EXPLORE.md for why the
-        // two traversals insert identical parent links).
         if visited_before + level_children <= self.max_states && !self.audit {
-            transitions += level_children;
-            // Transpose [partition][shard] → [shard][partition]:
-            // O(partitions²) Vec moves, no child copied.
-            let mut per_shard: Vec<Vec<Vec<(u64, Sys::State, Sys::Action, u64)>>> =
-                (0..shard_n).map(|_| Vec::with_capacity(recs.len())).collect();
-            for rec in &mut recs {
-                for (k, bucket) in rec.by_shard.iter_mut().enumerate() {
-                    per_shard[k].push(std::mem::take(bucket));
-                }
-            }
-            type ShardJob<'s, S, A> =
-                (&'s mut FpMap<Parent<A>>, Vec<Vec<(u64, S, A, u64)>>);
-            let jobs: Vec<ShardJob<'_, Sys::State, Sys::Action>> =
-                visited.shards_mut().iter_mut().zip(per_shard).collect();
-            let results = pool.map_indexed(jobs, |_, (shard, groups)| {
-                let mut fresh: Vec<(u64, Sys::State)> = Vec::new();
-                let mut dedup = 0usize;
-                for group in groups {
-                    for (fp, tc, a, parent) in group {
-                        match shard.try_insert_with(fp, Cap::Unbounded, || {
-                            Parent::Child { parent, action: a }
-                        }) {
-                            TryInsert::Present => dedup += 1,
-                            TryInsert::Inserted => fresh.push((fp, tc)),
-                            TryInsert::Full => {
-                                unreachable!("unbounded insert cannot refuse")
-                            }
-                        }
-                    }
-                }
-                (fresh, dedup)
-            });
-            visited.refresh_len();
-            for (k, (fresh, dedup)) in results.into_iter().enumerate() {
-                stats.dedup_hits += dedup;
-                next_parts[k] = fresh;
-            }
+            self.insert_two_pass(pool, recs, run, next_parts);
+            (level_children, level_children)
         } else {
-            // Cap could bind (or audit mode): replay the children in
-            // exact j-major order with the same inline global cap
-            // the fused path applies. `route` recovers that order
-            // from the bucketed layout.
-            for rec in recs {
-                let mut buckets: Vec<std::vec::IntoIter<_>> =
-                    rec.by_shard.into_iter().map(Vec::into_iter).collect();
-                for &k in &rec.route {
-                    let (fp_t, tc, a, parent) = buckets[k as usize]
-                        .next()
-                        .expect("route covers every bucketed child");
-                    transitions += 1;
-                    match visited.try_insert_with(fp_t, Cap::At(self.max_states), || {
-                        Parent::Child { parent, action: a }
-                    }) {
-                        TryInsert::Present => {
-                            stats.dedup_hits += 1;
-                            self.audit_check(&audit_states, fp_t, &tc);
+            let transitions = self.insert_cap_replay(recs, run, next_parts, tracer);
+            (level_children, transitions)
+        }
+    }
+
+    /// Pass 2 when the state cap cannot bind this level (children are an
+    /// upper bound on inserts) and no audit wants full states in sequence:
+    /// each visited shard, with its run files if any, is handed to the
+    /// worker that owns it — worker-local, lock-free,
+    /// schedule-independent (shard `k`'s children arrive grouped j-major,
+    /// exactly the order the fused path would have offered them — see
+    /// docs/EXPLORE.md for why the two traversals insert identical parent
+    /// links).
+    #[inline(never)]
+    fn insert_two_pass(
+        &self,
+        pool: &WorkerPool,
+        recs: Vec<Expanded<Sys::State, Sys::Action>>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+    ) {
+        let shard_n = self.partitions;
+        // Transpose [partition][shard] → [shard][partition]:
+        // O(partitions²) Vec moves, no child copied.
+        let mut per_shard: Vec<Vec<Vec<Child<Sys::State, Sys::Action>>>> = (0..shard_n)
+            .map(|_| Vec::with_capacity(recs.len()))
+            .collect();
+        for rec in recs {
+            for (k, bucket) in rec.by_shard.into_iter().enumerate() {
+                per_shard[k].push(bucket);
+            }
+        }
+        let runs: Vec<Option<&mut ShardRuns>> = match run.disk.as_mut() {
+            Some(disk) => disk.shards.iter_mut().map(Some).collect(),
+            None => (0..shard_n).map(|_| None).collect(),
+        };
+        let jobs: Vec<_> = run
+            .visited
+            .shards_mut()
+            .iter_mut()
+            .zip(per_shard)
+            .zip(runs)
+            .map(|((shard, groups), runs)| (shard, groups, runs))
+            .collect();
+        let results = pool.map_indexed(jobs, |_, (shard, groups, runs)| {
+            insert_shard(shard, groups, runs)
+        });
+        run.visited.refresh_len();
+        for (k, (fresh, dedup)) in results.into_iter().enumerate() {
+            run.stats.dedup_hits += dedup;
+            next_parts[k] = fresh;
+        }
+    }
+
+    /// Pass 2 when the cap could bind (or in audit mode): dedup-vs-cap
+    /// precedence for keys recurring in-level depends on the exact insert
+    /// sequence, so replay the children sequentially in exact j-major order
+    /// (`route` recovers it from the bucketed layout) with the same inline
+    /// global cap the fused path applies — on resident plus spilled states.
+    /// Disk membership of every child key is precomputed per shard (empty
+    /// for shards with no run files). Returns the transitions traversed.
+    #[inline(never)]
+    fn insert_cap_replay(
+        &self,
+        recs: Vec<Expanded<Sys::State, Sys::Action>>,
+        run: &mut BfsRun<Sys>,
+        next_parts: &mut [Vec<(u64, Sys::State)>],
+        tracer: &mut dyn Tracer,
+    ) -> usize {
+        let mut spilled = 0usize;
+        let mut on_disk: Vec<Vec<u64>> = vec![Vec::new(); self.partitions];
+        if let Some(disk) = run.disk.as_mut() {
+            spilled = disk.spilled;
+            for (k, runs) in disk.shards.iter_mut().enumerate() {
+                if runs.is_empty() {
+                    continue;
+                }
+                let mut keys: Vec<u64> = recs
+                    .iter()
+                    .flat_map(|rec| rec.by_shard[k].iter().map(|&(fp, ..)| key_of(fp)))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                on_disk[k] = runs.membership(&keys);
+            }
+        }
+        let cap = Cap::At(self.max_states.saturating_sub(spilled));
+        let mut transitions = 0usize;
+        for rec in recs {
+            let mut buckets: Vec<std::vec::IntoIter<_>> =
+                rec.by_shard.into_iter().map(Vec::into_iter).collect();
+            for &k in &rec.route {
+                let k = k as usize;
+                let (fp_t, tc, a, parent) = buckets[k]
+                    .next()
+                    .expect("route covers every bucketed child");
+                transitions += 1;
+                if on_disk[k].binary_search(&key_of(fp_t)).is_ok() {
+                    run.stats.dedup_hits += 1;
+                    continue;
+                }
+                match run
+                    .visited
+                    .try_insert_with(fp_t, cap, || Parent::Child { parent, action: a })
+                {
+                    TryInsert::Present => {
+                        run.stats.dedup_hits += 1;
+                        self.audit_check(&run.audit_states, fp_t, &tc);
+                    }
+                    TryInsert::Full => {
+                        if run.truncated_by.is_none() {
+                            trace_event!(tracer, "search", "truncate",
+                                "cause": "states",
+                                "level": run.depth,
+                            );
                         }
-                        TryInsert::Full => {
-                            if truncated_by.is_none() {
-                                trace_event!(tracer, "search", "truncate",
-                                    "cause": "states",
-                                    "level": depth,
-                                );
-                            }
-                            truncated_by.get_or_insert(Truncation::States);
+                        run.truncated_by.get_or_insert(Truncation::States);
+                    }
+                    TryInsert::Inserted => {
+                        if self.audit {
+                            run.audit_states.insert(fp_t, tc.clone());
                         }
-                        TryInsert::Inserted => {
-                            if self.audit {
-                                audit_states.insert(fp_t, tc.clone());
-                            }
-                            next_parts[k as usize].push((fp_t, tc));
-                        }
+                        next_parts[k].push((fp_t, tc));
                     }
                 }
             }
         }
-        (level_children, transitions)
+        transitions
     }
 
-    /// Walk the fingerprint parent map back to a root, then replay forward
-    /// through `step` (+ canon) to materialize the actual states.
+    /// Walk the parent map (through `lookup`, which resolves resident and
+    /// spilled links alike) back to a root, then replay forward through
+    /// `step` (+ canon) to materialize the actual states.
     fn replay_witness(
-        &self,
-        visited: &ShardedFpMap<Parent<Sys::Action>>,
-        target: u64,
-    ) -> Execution<Sys::State, Sys::Action> {
-        self.replay_witness_with(target, |fp| visited.get(fp).cloned())
-    }
-
-    /// [`Search::replay_witness`] with a pluggable parent lookup, so the
-    /// external-memory engine ([`crate::extmem`]) can resolve links that
-    /// were spilled to run files through the same replay path.
-    pub(crate) fn replay_witness_with(
         &self,
         target: u64,
         lookup: impl Fn(u64) -> Option<Parent<Sys::Action>>,
@@ -1426,6 +1503,73 @@ where
             state,
         );
     }
+}
+
+/// Pass 2 for one visited shard: dedup and commit its children, which
+/// arrive grouped by source partition in traversal order. Returns the
+/// shard's next frontier (its fresh children, in first-occurrence order)
+/// and its dedup hits.
+///
+/// With no run files this is the resident insert loop. With run files it
+/// keeps every key's first occurrence in order while touching disk once
+/// per shard per level: dedup against the resident shard and a level-local
+/// table, stage the in-level-unique survivors, ask the run files which of
+/// the staged keys they already hold, and commit the rest in staged order.
+/// That is extensionally equal to the resident loop — a child is a dedup
+/// hit iff its key was visited before the level (resident shard ∪ run
+/// files) or committed earlier in this shard's traversal sequence, the same
+/// predicate `try_insert_with` evaluates when every key is resident.
+fn insert_shard<S, A>(
+    shard: &mut FpMap<Parent<A>>,
+    groups: Vec<Vec<Child<S, A>>>,
+    runs: Option<&mut ShardRuns>,
+) -> (Vec<(u64, S)>, usize) {
+    let mut fresh: Vec<(u64, S)> = Vec::new();
+    let mut dedup = 0usize;
+    let Some(runs) = runs.filter(|r| !r.is_empty()) else {
+        for group in groups {
+            for (fp, tc, a, parent) in group {
+                match shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
+                    parent,
+                    action: a,
+                }) {
+                    TryInsert::Present => dedup += 1,
+                    TryInsert::Inserted => fresh.push((fp, tc)),
+                    TryInsert::Full => unreachable!("unbounded insert cannot refuse"),
+                }
+            }
+        }
+        return (fresh, dedup);
+    };
+    let mut staged: Vec<Child<S, A>> = Vec::new();
+    let mut level_seen: FpMap<()> = FpMap::new();
+    for group in groups {
+        for child in group {
+            if shard.contains(child.0)
+                || level_seen.try_insert_with(child.0, Cap::Unbounded, || ()) == TryInsert::Present
+            {
+                dedup += 1;
+            } else {
+                staged.push(child);
+            }
+        }
+    }
+    let mut staged_keys: Vec<u64> = staged.iter().map(|&(fp, ..)| key_of(fp)).collect();
+    staged_keys.sort_unstable();
+    let on_disk = runs.membership(&staged_keys);
+    for (fp, tc, a, parent) in staged {
+        if on_disk.binary_search(&key_of(fp)).is_ok() {
+            dedup += 1;
+        } else {
+            let r = shard.try_insert_with(fp, Cap::Unbounded, || Parent::Child {
+                parent,
+                action: a,
+            });
+            debug_assert_eq!(r, TryInsert::Inserted, "staged keys are level-unique");
+            fresh.push((fp, tc));
+        }
+    }
+    (fresh, dedup)
 }
 
 impl<'a, Sys: System> Search<'a, Sys>

@@ -6,15 +6,60 @@
 //!
 //! `DET_SEED` replays the property cases.
 
+use impossible_core::system::System;
 use impossible_det::{det_assert, det_assert_eq, det_prop};
 use impossible_explore::page::{
     decode_key_page, decode_run_page, encode_key_page, encode_run_page, run_page_keys,
 };
 use impossible_explore::{Grid, Search, SearchReport, SpillPolicy, Truncation};
+use impossible_obs::{RingTracer, Tracer};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
+}
+
+/// Wrap-around counters: action `i` bumps counter `i` modulo `m`. `Grid`'s
+/// graph is graded — every edge goes exactly one level deeper — so a
+/// spilled `Grid` run never meets a spilled key again. This space is
+/// cyclic: a wrapping bump lands `m - 1` levels *back*, on a key that a
+/// spilled run has long since paged out, so only the run-file membership
+/// probe keeps it from being committed twice.
+struct Wrap {
+    n: usize,
+    m: u8,
+}
+
+impl System for Wrap {
+    type State = Vec<u8>;
+    type Action = usize;
+
+    fn initial_states(&self) -> Vec<Vec<u8>> {
+        vec![vec![0; self.n]]
+    }
+
+    fn enabled(&self, _s: &Vec<u8>) -> Vec<usize> {
+        (0..self.n).collect()
+    }
+
+    fn step(&self, s: &Vec<u8>, &i: &usize) -> Vec<u8> {
+        let mut t = s.clone();
+        t[i] = (t[i] + 1) % self.m;
+        t
+    }
+}
+
+/// 256 states, like `Grid { n: 4, max: 3 }`, so spill thresholds mean the
+/// same thing on both.
+const CYCLIC: Wrap = Wrap { n: 4, m: 4 };
+
+/// A search over [`CYCLIC`]. The state cap sits far above the space's 256
+/// states (and its largest level's 1024 children), so on a correct run it
+/// never binds nor triggers a cap replay; it keeps a run that re-commits
+/// spilled keys — whose frontier then never drains — from running on to
+/// the default million-state cap before failing.
+fn cyclic() -> Search<'static, Wrap> {
+    Search::new(&CYCLIC).max_states(4096)
 }
 
 /// Strip the legitimately-differing stats (worker count and the steal
@@ -32,28 +77,91 @@ fn masked(r: &SearchReport<Vec<u8>, usize>) -> String {
     )
 }
 
-#[test]
-fn spilled_exploration_matches_resident_bytes() {
-    let sys = Grid { n: 4, max: 3 }; // 256 states, several levels
-    let resident = Search::new(&sys).explore();
+/// Every spill policy of the parity grid against the resident run.
+fn assert_policy_grid_matches<'s, S>(name: &str, search: impl Fn() -> Search<'s, S>)
+where
+    S: System<State = Vec<u8>, Action = usize> + Sync + 's,
+{
+    let resident = search().explore();
     for (i, (ram_keys, front)) in [(0usize, false), (0, true), (40, false), (40, true)]
         .iter()
         .enumerate()
     {
-        let dir = tmp(&format!("spill-match-{i}"));
+        let dir = tmp(&format!("spill-match-{name}-{i}"));
         let policy = SpillPolicy::new(&dir)
             .ram_keys(*ram_keys)
             .spill_frontier(*front);
-        let spilled = Search::new(&sys).explore_extmem(&policy);
+        let spilled = search().explore_extmem(&policy);
         assert!(
             spilled.stats.peak_bytes <= resident.stats.peak_bytes,
-            "spilling must not raise peak bytes (ram_keys={ram_keys} front={front})"
+            "{name}: spilling must not raise peak bytes (ram_keys={ram_keys} front={front})"
         );
         assert_eq!(
             masked(&spilled),
             masked(&resident),
-            "ram_keys={ram_keys} front={front}"
+            "{name}: ram_keys={ram_keys} front={front}"
         );
+    }
+}
+
+#[test]
+fn spilled_exploration_matches_resident_bytes() {
+    let grid = Grid { n: 4, max: 3 }; // 256 states, several levels
+    assert_policy_grid_matches("grid", || Search::new(&grid));
+    assert_policy_grid_matches("cyclic", cyclic);
+}
+
+#[test]
+fn spilled_traces_match_resident_traces() {
+    // The trace twins of the spilled entry points: with every shard and
+    // frontier page forced through disk, the JSONL is byte-identical to the
+    // resident trace — `states` fields included, which count spilled keys.
+    fn jsonl<R>(run: impl FnOnce(&mut dyn Tracer) -> R) -> String {
+        let mut tracer = RingTracer::new(4096);
+        run(&mut tracer);
+        assert_eq!(tracer.dropped(), 0, "trace fits the ring");
+        tracer.to_jsonl()
+    }
+    let grid = Grid { n: 3, max: 4 };
+    let corner = |s: &Vec<u8>| s.iter().all(|&c| c == 4);
+    for w in [1usize, 2] {
+        let policy = |name: &str| {
+            SpillPolicy::new(tmp(&format!("spill-trace-{name}-{w}")))
+                .ram_keys(0)
+                .spill_frontier(true)
+        };
+        let resident = jsonl(|t| cyclic().workers(w).explore_traced(t));
+        let spilled = jsonl(|t| {
+            cyclic()
+                .workers(w)
+                .explore_extmem_traced(&policy("cyclic"), t)
+        });
+        assert_eq!(spilled, resident, "cyclic explore, w={w}");
+        assert!(resident.contains("\"kind\":\"level.exit\""));
+
+        let resident = jsonl(|t| {
+            Search::new(&CYCLIC)
+                .workers(w)
+                .max_states(97)
+                .explore_traced(t)
+        });
+        let spilled = jsonl(|t| {
+            Search::new(&CYCLIC)
+                .workers(w)
+                .max_states(97)
+                .explore_extmem_traced(&policy("cap"), t)
+        });
+        assert_eq!(spilled, resident, "cyclic capped explore, w={w}");
+        assert!(resident.contains("\"kind\":\"truncate\""));
+
+        let resident = jsonl(|t| Search::new(&grid).workers(w).search_traced(corner, t));
+        let spilled = jsonl(|t| {
+            Search::new(&grid)
+                .workers(w)
+                .search_extmem_traced(corner, &policy("hunt"), t)
+        });
+        assert_eq!(spilled, resident, "grid witness hunt, w={w}");
+        assert!(resident.contains("\"kind\":\"found\""));
     }
 }
 
@@ -97,15 +205,27 @@ fn spilled_witness_replays_through_run_files() {
 fn cap_truncation_is_exact_under_spill() {
     // The cap binds mid-level: the j-major replay path must produce the
     // resident engine's exact truncation, state count, and fallback count.
-    let sys = Grid { n: 4, max: 3 };
+    // On the cyclic space the replay also meets spilled keys.
     let cap = 97;
-    let resident = Search::new(&sys).max_states(cap).explore();
-    assert_eq!(resident.truncated_by, Some(Truncation::States));
-    assert!(resident.stats.cap_fallbacks > 0);
-    let policy = SpillPolicy::new(tmp("spill-cap")).ram_keys(0);
-    let spilled = Search::new(&sys).max_states(cap).explore_extmem(&policy);
-    assert_eq!(spilled.num_states, cap);
-    assert_eq!(masked(&spilled), masked(&resident));
+    let grid = Grid { n: 4, max: 3 };
+    let resident = [
+        Search::new(&grid).max_states(cap).explore(),
+        Search::new(&CYCLIC).max_states(cap).explore(),
+    ];
+    let spilled = [
+        Search::new(&grid)
+            .max_states(cap)
+            .explore_extmem(&SpillPolicy::new(tmp("spill-cap")).ram_keys(0)),
+        Search::new(&CYCLIC)
+            .max_states(cap)
+            .explore_extmem(&SpillPolicy::new(tmp("spill-cap-cyclic")).ram_keys(0)),
+    ];
+    for (resident, spilled) in resident.iter().zip(&spilled) {
+        assert_eq!(resident.truncated_by, Some(Truncation::States));
+        assert!(resident.stats.cap_fallbacks > 0);
+        assert_eq!(spilled.num_states, cap);
+        assert_eq!(masked(spilled), masked(resident));
+    }
 }
 
 #[test]
@@ -122,10 +242,10 @@ fn depth_truncation_is_exact_under_spill() {
 
 #[test]
 fn spilled_runs_record_the_same_steal_counters_as_resident() {
-    // The extmem engine drives the identical two-pass pool schedule per
-    // level (expansion, then shard classify/merge), so its steal counters
-    // must equal the resident engine's at the same worker count — and
-    // stay zero at w=1 where the claim protocol is bypassed.
+    // A spilled run takes the resident two-pass route — the same pool
+    // schedule per level (expansion, then shard insert) — so its steal
+    // counters must equal the resident run's at the same worker count,
+    // and stay zero at w=1 where the claim protocol is bypassed.
     let sys = Grid { n: 4, max: 3 };
     let resident = Search::new(&sys).workers(2).explore();
     let policy = SpillPolicy::new(tmp("spill-steals"))
@@ -217,6 +337,23 @@ det_prop! {
         det_assert_eq!(masked(&resident_full), masked(&spill_full));
         det_assert_eq!(masked(&resident_hunt), masked(&spill_hunt));
         det_assert!(spill_full.stats.peak_bytes <= resident_full.stats.peak_bytes);
+        // The cyclic space: spilled keys come back as children, so the
+        // run-file probe is load-bearing here. The full exploration is
+        // compared first: a run that re-commits spilled keys can link
+        // parents into a cycle, and its witness replay would never return.
+        let resident_cyclic = cyclic().seed(seed).explore();
+        let spill_cyclic = cyclic()
+            .seed(seed)
+            .workers(w)
+            .explore_extmem(&SpillPolicy::new(dir.join("cyclic")).ram_keys(ram_keys).spill_frontier(ram_keys % 2 == 0));
+        det_assert_eq!(masked(&resident_cyclic), masked(&spill_cyclic));
+        let wrapped = |s: &Vec<u8>| s.iter().all(|&c| c == 3);
+        let resident_cyclic_hunt = cyclic().seed(seed).search(wrapped);
+        let spill_cyclic_hunt = cyclic()
+            .seed(seed)
+            .workers(w)
+            .search_extmem(wrapped, &SpillPolicy::new(dir.join("cyclic-hunt")).ram_keys(ram_keys).spill_frontier(ram_keys % 2 == 1));
+        det_assert_eq!(masked(&resident_cyclic_hunt), masked(&spill_cyclic_hunt));
     }
 }
 

@@ -32,11 +32,11 @@
 //! process) finishes it; `straight` never pauses — and both print the same
 //! canonical report line, byte for byte (pinned by `scripts/verify.sh`).
 //! `extmem` / `extmem-spill` are the external-memory twin of that probe:
-//! the first explores a reference grid fully resident, the second forces
-//! every shard and frontier page through run files in `<dir>` — and both
-//! print the same canonical line (with `peak_bytes` masked alongside
-//! `workers`, the only counters allowed to differ; also pinned by
-//! `scripts/verify.sh`).
+//! the first explores the rotation quotient of a token ring fully
+//! resident, the second forces every shard and frontier page through run
+//! files in `<dir>` — and both print the same canonical line (with
+//! `peak_bytes` masked alongside `workers`, the only counters allowed to
+//! differ; also pinned by `scripts/verify.sh`).
 
 use impossible::ckpt::{job_key, model_fp, CheckJob, Snapshot, Verdict, VerdictCache};
 use impossible::consensus::quorum;
@@ -212,9 +212,24 @@ fn straight_mode() -> Result<(), String> {
     Ok(())
 }
 
-/// The external-memory probe's workload: a few thousand states across
-/// enough shards and levels that forced spilling exercises every path.
+/// The scaling probe's workload: 625 states across enough shards and
+/// levels that every pool pass has work to steal.
 const EXT_PROBE: Grid = Grid { n: 4, max: 4 };
+
+/// The external-memory probe's workload, explored under
+/// [`ring_search::rotation_canon`]: 1181 necklaces over 14 levels.
+/// Unlike a grid, whose levels never revisit a key, the ring's graph is
+/// cyclic — merges and circulating tokens land on configurations
+/// discovered levels earlier — so under forced spilling many children are
+/// keys already on disk, which only the run-file membership probe catches.
+const EXT_SPILL_PROBE: ring_search::TokenRing = ring_search::TokenRing { n: 14 };
+
+/// The search both extmem modes run: the probe, its canon hook, two workers.
+fn ext_spill_search() -> Search<'static, ring_search::TokenRing> {
+    Search::new(&EXT_SPILL_PROBE)
+        .canon(ring_search::rotation_canon)
+        .workers(2)
+}
 
 /// Canonical report line for the extmem probe: like [`report_line`] but
 /// also masking `stats.peak_bytes` — resident and spilled runs necessarily
@@ -230,7 +245,7 @@ fn extmem_report_line(r: &SearchReport<Vec<u8>, usize>) -> String {
 }
 
 fn extmem_mode() -> Result<(), String> {
-    let report = Search::new(&EXT_PROBE).workers(2).explore();
+    let report = ext_spill_search().explore();
     println!("{}", extmem_report_line(&report));
     Ok(())
 }
@@ -287,7 +302,7 @@ fn extmem_spill_mode(dir: &str) -> Result<(), String> {
     // ram_keys(0) evicts every shard at every level and pages the
     // frontier too: the maximally hostile spill schedule.
     let policy = SpillPolicy::new(dir).ram_keys(0).spill_frontier(true);
-    let report = Search::new(&EXT_PROBE).workers(2).explore_extmem(&policy);
+    let report = ext_spill_search().explore_extmem(&policy);
     println!("{}", extmem_report_line(&report));
     Ok(())
 }
